@@ -1,17 +1,14 @@
-// Rollout-collection throughput: environment steps per second for
-// num_envs in {1, 2, 4, 8} on the paper's 6x6 grid, for both collectors:
-// the per-agent path (serial when num_envs == 1, thread-pool otherwise)
-// and the fleet-batched engine (all replicas stepped in lockstep, one GEMM
-// per layer across num_envs x num_agents rows; core/fleet_engine.hpp).
+// Rollout-collection throughput: environment steps per second on the
+// paper's 6x6 grid for kernel tier x num_envs in {1, 2, 4, 8}. Collection
+// runs the rollout engine (core/rollout_engine.hpp): num_envs replicas cut
+// into min(num_envs, hardware threads) contiguous slices, each slice's
+// replicas stepped in lockstep with one GEMM per layer across its rows.
 //
-// Measures collect_rollouts() only (the parallelized phase; the PPO update
-// stays serial), reporting steps/sec, wall time per episode, and speedup
-// over the serial per-agent collector. Every JSON row records the hardware
-// thread count and the fleet/batch configuration so the trajectory can
-// distinguish batching wins from thread-count artifacts; threaded rows that
-// ask for more workers than the machine has are flagged thread_limited
-// (their speedup_vs_serial measures thread starvation, not the collector).
-// Results land on stdout and in BENCH_rollout.json.
+// Measures collect_rollouts() only (the PPO update is not timed), reporting
+// steps/sec, wall time per episode, and speedup over the num_envs = 1
+// reference row. Every JSON row records the hardware thread count and the
+// slice count, so a reader can tell batching wins from thread-count
+// effects. Results land on stdout and in BENCH_rollout.json.
 //
 // Knobs: PAIRUP_EPISODES (collection rounds per worker count, default 3),
 // PAIRUP_EPISODE_SECONDS (default 600), PAIRUP_TIME_SCALE, PAIRUP_SEED.
@@ -35,19 +32,17 @@ using namespace tsc;
 
 struct Row {
   std::size_t num_envs = 0;
-  bool fleet_batched = false;
+  std::size_t slices = 0;  ///< concurrent collection slices
   tsc::nn::KernelTier kernel_tier = tsc::nn::KernelTier::kReference;
-  bool thread_limited = false;
   std::size_t env_steps = 0;
   double wall_seconds = 0.0;
   double steps_per_sec = 0.0;
   double wall_per_episode = 0.0;
-  double speedup = 1.0;  ///< vs the serial per-agent row
+  double speedup = 1.0;  ///< vs the num_envs = 1 reference row
 };
 
 std::string row_name(const Row& r) {
-  return std::string(r.fleet_batched ? "fleet" : "per-agent") + " " +
-         nn::kernel_tier_name(r.kernel_tier) +
+  return std::string(nn::kernel_tier_name(r.kernel_tier)) +
          " num_envs=" + std::to_string(r.num_envs);
 }
 
@@ -69,16 +64,15 @@ void write_json(const std::string& path, const bench::HarnessConfig& config,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"num_envs\": %zu, \"fleet_batched\": %s, "
+                 "    {\"num_envs\": %zu, \"slices\": %zu, "
                  "\"kernel_tier\": \"%s\", "
-                 "\"hardware_threads\": %u, \"thread_limited\": %s, "
+                 "\"hardware_threads\": %u, "
                  "\"env_steps\": %zu, "
                  "\"wall_seconds\": %.6f, \"env_steps_per_sec\": %.2f, "
                  "\"wall_seconds_per_episode\": %.6f, "
                  "\"speedup_vs_serial\": %.3f}%s\n",
-                 r.num_envs, r.fleet_batched ? "true" : "false",
-                 nn::kernel_tier_name(r.kernel_tier), hw,
-                 r.thread_limited ? "true" : "false", r.env_steps,
+                 r.num_envs, r.slices, nn::kernel_tier_name(r.kernel_tier),
+                 hw, r.env_steps,
                  r.wall_seconds, r.steps_per_sec, r.wall_per_episode, r.speedup,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -109,7 +103,8 @@ int main(int argc, char** argv) {
       "hardware_concurrency: %u\n\n",
       config.grid_rows, config.grid_cols, config.episode_seconds,
       config.episodes, smoke ? " (smoke)" : "", hw);
-  bench::print_header("collector", {"steps/sec", "s/episode", "speedup"});
+  bench::print_header("tier / replicas", {"slices", "steps/sec", "s/episode",
+                                          "speedup"});
 
   std::vector<std::size_t> env_counts = {1, 2, 4, 8};
   if (smoke) env_counts = {1, 2};
@@ -117,29 +112,23 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (nn::KernelTier tier :
        {nn::KernelTier::kReference, nn::KernelTier::kFast}) {
-  for (bool fleet : {false, true}) {
     for (std::size_t num_envs : env_counts) {
       // Fresh env + trainer per configuration: identical initial weights, so
-      // rounds differ only in the collector (threaded vs lockstep fleet) and
-      // the kernel tier. Speedups stay relative to the serial per-agent
-      // REFERENCE row (rows.front()), so fast-tier rows read directly as
-      // end-to-end kernel-tier lift.
+      // rounds differ only in the replica count and the kernel tier.
+      // Speedups stay relative to the num_envs = 1 REFERENCE row
+      // (rows.front()), so fast-tier rows read directly as end-to-end
+      // kernel-tier lift.
       auto environment =
           bench::make_env(*grid, scenario::FlowPattern::kPattern1, config);
       core::PairUpConfig pairup_config = bench::make_pairup_config(config);
       pairup_config.num_envs = num_envs;
-      pairup_config.fleet_batched = fleet;
       pairup_config.kernel_tier = tier;
-      if (fleet) pairup_config.inference_path = true;  // fleet requires it
       core::PairUpLightTrainer trainer(environment.get(), pairup_config);
 
       Row row;
       row.num_envs = num_envs;
-      row.fleet_batched = fleet;
+      row.slices = trainer.rollout_slices();
       row.kernel_tier = tier;
-      // The fleet engine is single-threaded by design; only the thread-pool
-      // collector can be starved of hardware threads.
-      row.thread_limited = !fleet && num_envs > std::max(1u, hw);
       std::size_t episodes = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (std::size_t r = 0; r < config.episodes; ++r) {
@@ -157,13 +146,9 @@ int main(int argc, char** argv) {
       rows.push_back(row);
 
       bench::print_row(row_name(row),
-                       {row.steps_per_sec, row.wall_per_episode, row.speedup});
-      if (row.thread_limited)
-        std::printf("    (thread_limited: %zu workers on %u hardware "
-                    "thread%s; speedup reflects starvation)\n",
-                    num_envs, hw, hw == 1 ? "" : "s");
+                       {static_cast<double>(row.slices), row.steps_per_sec,
+                        row.wall_per_episode, row.speedup});
     }
-  }
   }
 
   write_json("BENCH_rollout.json", config, rows);

@@ -6,18 +6,19 @@
 
 #include "src/util/csv.hpp"
 #include "src/util/log.hpp"
+#include "src/util/parse.hpp"
 
 namespace tsc::bench {
 namespace {
 
 double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);
-  return v ? std::atof(v) : fallback;
+  return v ? util::require_double(v, name) : fallback;
 }
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
-  return v ? static_cast<std::size_t>(std::atoll(v)) : fallback;
+  return v ? static_cast<std::size_t>(util::require_u64(v, name)) : fallback;
 }
 
 core::UpdateMode env_update_mode(const char* name, core::UpdateMode fallback) {
@@ -74,10 +75,6 @@ HarnessConfig load_config(HarnessConfig defaults) {
       1, env_size("PAIRUP_NUM_UPDATE_SHARDS", config.num_update_shards));
   config.update_mode = env_update_mode("PAIRUP_UPDATE_MODE", config.update_mode);
   config.update_path = env_update_path("PAIRUP_UPDATE_PATH", config.update_path);
-  config.inference_path =
-      env_size("PAIRUP_INFERENCE", config.inference_path ? 1 : 0) != 0;
-  config.fleet_batched =
-      env_size("PAIRUP_FLEET_BATCHED", config.fleet_batched ? 1 : 0) != 0;
   config.kernel_tier = nn::kernel_tier_from_env(config.kernel_tier);
   return config;
 }
@@ -89,8 +86,6 @@ core::PairUpConfig make_pairup_config(const HarnessConfig& config) {
   pairup.num_update_shards = config.num_update_shards;
   pairup.update_mode = config.update_mode;
   pairup.update_path = config.update_path;
-  pairup.inference_path = config.inference_path;
-  pairup.fleet_batched = config.fleet_batched;
   pairup.kernel_tier = config.kernel_tier;
   return pairup;
 }

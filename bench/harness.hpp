@@ -4,13 +4,16 @@
 // the full paper schedule (1000 episodes x 3600 s) is a multi-day CPU-only
 // run, the default harness compresses time (time_scale) and episode counts
 // while keeping every code path identical. Scale knobs (environment
-// variables, all optional):
+// variables, all optional; a malformed number is an error that names the
+// variable):
 //   PAIRUP_EPISODES     training episodes per RL method (default per bench)
 //   PAIRUP_TIME_SCALE   flow-schedule compression (default 1/6)
 //   PAIRUP_EPISODE_SECONDS  simulated seconds per episode (default 600)
 //   PAIRUP_SEED         base seed (default 1)
-//   PAIRUP_NUM_ENVS     parallel rollout environments per training step
-//                       (default 1 = serial; see core/rollout_engine.hpp)
+//   PAIRUP_NUM_ENVS     environment replicas collecting per training step
+//                       (default 1; K > 1 collects on min(K, hardware
+//                       threads) concurrent slices, see
+//                       core/rollout_engine.hpp)
 //   PAIRUP_NUM_UPDATE_SHARDS  PPO-update worker threads per minibatch
 //                       (default 1 = serial; see core/update_engine.hpp)
 //   PAIRUP_UPDATE_MODE  sharded-update layout: "serial", "per_sample"
@@ -21,14 +24,7 @@
 //                       "tape" (autodiff oracle). Bit-identical either way
 //                       for every update mode and shard count
 //                       (tests/test_backward_path.cpp).
-//   PAIRUP_INFERENCE    1 (default) = tape-free inference path for rollout
-//                       and evaluation forwards; 0 = force the tape path
-//                       (bit-identical either way, see nn/inference.hpp)
-//   PAIRUP_FLEET_BATCHED  1 = lockstep fleet-batched rollout collection
-//                       (one GEMM per layer across all envs x agents,
-//                       bit-identical to the per-agent path; see
-//                       core/fleet_engine.hpp). Default 0.
-//   PAIRUP_KERNEL_TIER  math-kernel tier for inference-path forwards:
+//   PAIRUP_KERNEL_TIER  math-kernel tier of the rollout engine's forwards:
 //                       "reference" (default; bit-exact) or "fast"
 //                       (SIMD/FMA, tolerance-bounded; see nn/kernels.hpp
 //                       and the README determinism matrix).
@@ -60,8 +56,6 @@ struct HarnessConfig {
   std::size_t num_update_shards = 1;  ///< PPO-update shards per minibatch
   core::UpdateMode update_mode = core::UpdateMode::kBatchedShards;
   core::UpdatePath update_path = core::UpdatePath::kFused;  ///< PPO backward
-  bool inference_path = true;      ///< tape-free rollout/eval forwards
-  bool fleet_batched = false;      ///< lockstep fleet-batched collection
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;  ///< math kernels
 };
 
@@ -73,7 +67,9 @@ const char* update_mode_name(core::UpdateMode mode);
 /// PAIRUP_UPDATE_PATH accepts.
 const char* update_path_name(core::UpdatePath path);
 
-/// Reads the PAIRUP_* environment overrides on top of `defaults`.
+/// Reads the PAIRUP_* environment overrides on top of `defaults`. Throws
+/// std::invalid_argument naming the variable when a numeric value is not
+/// a whole, in-range number ("1O", "ten", "1e999", "-3").
 HarnessConfig load_config(HarnessConfig defaults);
 
 /// PairUpLight trainer config wired to the harness knobs (seed + num_envs).

@@ -4,7 +4,7 @@
 //
 // Usage: compare_controllers [episodes]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "src/baselines/colight.hpp"
 #include "src/baselines/fixed_time.hpp"
@@ -14,10 +14,17 @@
 #include "src/env/controller.hpp"
 #include "src/scenarios/flow_patterns.hpp"
 #include "src/scenarios/grid.hpp"
+#include "src/util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace tsc;
-  const std::size_t episodes = argc > 1 ? std::atoll(argv[1]) : 8;
+  std::size_t episodes = 8;
+  try {
+    if (argc > 1) episodes = util::require_u64(argv[1], "episodes");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "compare_controllers: %s\n", e.what());
+    return 2;
+  }
 
   scenario::GridConfig grid_config;
   grid_config.rows = 4;

@@ -5,16 +5,23 @@
 //
 // Usage: heterogeneous_city [episodes]
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "src/baselines/fixed_time.hpp"
 #include "src/core/trainer.hpp"
 #include "src/env/controller.hpp"
 #include "src/scenarios/monaco.hpp"
+#include "src/util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace tsc;
-  const std::size_t episodes = argc > 1 ? std::atoll(argv[1]) : 8;
+  std::size_t episodes = 8;
+  try {
+    if (argc > 1) episodes = util::require_u64(argv[1], "episodes");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "heterogeneous_city: %s\n", e.what());
+    return 2;
+  }
 
   scenario::MonacoScenario monaco;
   std::printf("Monaco-like network: %zu nodes, %zu links, %zu movements, "

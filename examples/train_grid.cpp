@@ -6,19 +6,27 @@
 //   episodes   training episodes (default 20; paper uses 1000)
 //   time_scale flow-schedule compression (default 1/6; paper uses 1)
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 
 #include "src/core/trainer.hpp"
 #include "src/env/controller.hpp"
 #include "src/nn/serialize.hpp"
 #include "src/scenarios/flow_patterns.hpp"
 #include "src/scenarios/grid.hpp"
+#include "src/util/parse.hpp"
 
 int main(int argc, char** argv) {
   using namespace tsc;
-  const std::size_t episodes = argc > 1 ? std::atoll(argv[1]) : 20;
-  const double time_scale = argc > 2 ? std::atof(argv[2]) : 1.0 / 6.0;
+  std::size_t episodes = 20;
+  double time_scale = 1.0 / 6.0;
+  try {
+    if (argc > 1) episodes = util::require_u64(argv[1], "episodes");
+    if (argc > 2) time_scale = util::require_double(argv[2], "time_scale");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "train_grid: %s\n", e.what());
+    return 2;
+  }
 
   scenario::GridScenario grid(scenario::GridConfig{});  // 6x6, paper layout
   scenario::FlowPatternConfig flow_config;

@@ -36,16 +36,6 @@ const Tensor& CoLightTrainer::QNet::forward_inference(
   return q_head->forward_inference(ws, mixed);                       // [1, A]
 }
 
-const Tensor& CoLightTrainer::QNet::forward_inference_blocks(
-    nn::InferenceWorkspace& ws, const Tensor& entity_obs,
-    const std::vector<const std::vector<bool>*>& masks) {
-  Tensor& embedded =
-      const_cast<Tensor&>(embed->forward_inference(ws, entity_obs));  // [B*E, d]
-  nn::relu_inplace(embedded);
-  const Tensor& mixed = gat->forward_inference_blocks(ws, embedded, masks);
-  return q_head->forward_inference(ws, mixed);  // [B, A]
-}
-
 CoLightTrainer::CoLightTrainer(env::TscEnv* env, CoLightConfig config)
     : env_(env),
       config_(config),
@@ -114,25 +104,13 @@ std::vector<std::size_t> CoLightTrainer::act_all(bool explore) {
       actions[i] = rng_.uniform_int(num_phases);
       continue;
     }
-    if (config_.inference_path) {
-      workspace_.begin_pass();
-      const auto flat = entity_obs(i);
-      Tensor& obs = workspace_.acquire(entities_, env_->obs_dim());
-      std::copy(flat.begin(), flat.end(), obs.data());
-      const Tensor& q_t = online_->forward_inference(workspace_, obs,
-                                                     entity_mask(i));
-      actions[i] = nn::argmax_row(q_t, 0, num_phases);
-    } else {
-      Tape tape;
-      Var obs = tape.constant(
-          Tensor::matrix(entities_, env_->obs_dim(), entity_obs(i)));
-      Var q = online_->forward(tape, obs, entity_mask(i));
-      const Tensor& q_t = tape.value(q);
-      std::size_t best = 0;
-      for (std::size_t p = 1; p < num_phases; ++p)
-        if (q_t.at(0, p) > q_t.at(0, best)) best = p;
-      actions[i] = best;
-    }
+    workspace_.begin_pass();
+    const auto flat = entity_obs(i);
+    Tensor& obs = workspace_.acquire(entities_, env_->obs_dim());
+    std::copy(flat.begin(), flat.end(), obs.data());
+    const Tensor& q_t =
+        online_->forward_inference(workspace_, obs, entity_mask(i));
+    actions[i] = nn::argmax_row(q_t, 0, num_phases);
   }
   return actions;
 }
@@ -237,83 +215,6 @@ env::EpisodeStats CoLightTrainer::train_episode() {
 
 env::EpisodeStats CoLightTrainer::eval_episode(std::uint64_t seed) {
   return run(false, seed);
-}
-
-std::vector<env::EpisodeStats> CoLightTrainer::eval_episodes_fleet(
-    const std::vector<std::uint64_t>& seeds) {
-  const std::size_t k = seeds.size();
-  const std::size_t n = env_->num_agents();
-  const std::size_t obs_dim = env_->obs_dim();
-  std::vector<std::unique_ptr<env::TscEnv>> envs;
-  envs.reserve(k);
-  for (std::size_t w = 0; w < k; ++w) {
-    envs.push_back(env_->clone(seeds[w]));
-    envs.back()->reset(seeds[w]);
-  }
-  // Entity masks depend only on the grid topology, identical across clones.
-  std::vector<std::vector<bool>> agent_masks(n);
-  for (std::size_t i = 0; i < n; ++i) agent_masks[i] = entity_mask(i);
-
-  const bool prev_gemm = workspace_.batched_gemm();
-  workspace_.set_batched_gemm(true);
-  std::vector<std::size_t> active(k);
-  for (std::size_t w = 0; w < k; ++w) active[w] = w;
-  std::vector<std::vector<std::size_t>> actions(k, std::vector<std::size_t>(n, 0));
-  std::vector<double> reward_sum(k, 0.0);
-  std::vector<std::size_t> reward_count(k, 0);
-  std::vector<const std::vector<bool>*> masks;
-  while (!active.empty()) {
-    const std::size_t batch = active.size();
-    workspace_.begin_pass();
-    Tensor& obs = workspace_.acquire(batch * n * entities_, obs_dim);
-    masks.clear();
-    for (std::size_t a = 0; a < batch; ++a) {
-      const env::TscEnv& env = *envs[active[a]];
-      for (std::size_t i = 0; i < n; ++i) {
-        double* block = obs.data() + (a * n + i) * entities_ * obs_dim;
-        env.local_obs_into(i, block);
-        const env::AgentSpec& spec = env.agent(i);
-        for (std::size_t slot = 0; slot + 1 < entities_; ++slot) {
-          double* row = block + (slot + 1) * obs_dim;
-          if (slot < spec.hop1.size())
-            env.local_obs_into(spec.hop1[slot], row);
-          else
-            std::fill(row, row + obs_dim, 0.0);
-        }
-        masks.push_back(&agent_masks[i]);
-      }
-    }
-    const Tensor& q = online_->forward_inference_blocks(workspace_, obs, masks);
-    for (std::size_t a = 0; a < batch; ++a)
-      for (std::size_t i = 0; i < n; ++i)
-        actions[active[a]][i] =
-            nn::argmax_row(q, a * n + i, env_->agent(i).num_phases);
-    for (std::size_t a = 0; a < batch; ++a) {
-      const std::size_t w = active[a];
-      const auto rewards = envs[w]->step(actions[w]);
-      for (double r : rewards) {
-        reward_sum[w] += r;
-        ++reward_count[w];
-      }
-    }
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](std::size_t w) { return envs[w]->done(); }),
-                 active.end());
-  }
-  workspace_.set_batched_gemm(prev_gemm);
-
-  std::vector<env::EpisodeStats> out(k);
-  for (std::size_t w = 0; w < k; ++w) {
-    out[w].avg_wait = envs[w]->episode_avg_wait();
-    out[w].travel_time = envs[w]->average_travel_time();
-    out[w].delay = envs[w]->average_delay();
-    out[w].mean_reward =
-        reward_count[w] ? reward_sum[w] / static_cast<double>(reward_count[w])
-                        : 0.0;
-    out[w].vehicles_finished = envs[w]->simulator().vehicles_finished();
-    out[w].vehicles_spawned = envs[w]->simulator().vehicles_spawned();
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -33,11 +33,7 @@ struct CoLightConfig {
   std::size_t target_update_steps = 200;  ///< hard target-net sync interval
   std::size_t updates_per_step = 1;       ///< gradient steps per env step
   double max_grad_norm = 1.0;
-  /// Greedy action selection runs tape-free on a preallocated workspace
-  /// (nn/inference.hpp); bit-identical to the tape forward. False forces
-  /// the tape path (debug / A-B comparison).
-  bool inference_path = true;
-  /// Math-kernel tier for the inference-path forwards (nn/kernels.hpp):
+  /// Math-kernel tier of the action-selection forwards (nn/kernels.hpp):
   /// kReference (default) is bit-exact; kFast is tolerance-bounded SIMD/FMA.
   /// Tape forwards/backwards (the Q update) always run reference.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
@@ -50,16 +46,6 @@ class CoLightTrainer {
 
   env::EpisodeStats train_episode();
   env::EpisodeStats eval_episode(std::uint64_t seed);
-  /// Fleet-batched greedy evaluation: one episode per seed, all replicas
-  /// stepped in lockstep with every (replica, agent) neighborhood stacked
-  /// into one block-batched Q forward per step — the embedding, GAT
-  /// projections, and Q head each run as a single GEMM over
-  /// active_replicas * num_agents blocks. stats[w] is bit-identical to
-  /// eval_episode(seeds[w]) (greedy CoLight consumes no RNG). Runs on
-  /// per-call environment clones; the trainer's environment and RNG stream
-  /// are untouched.
-  std::vector<env::EpisodeStats> eval_episodes_fleet(
-      const std::vector<std::uint64_t>& seeds);
   std::unique_ptr<env::Controller> make_controller();
   std::size_t episodes_trained() const { return episode_; }
 
@@ -82,14 +68,6 @@ class CoLightTrainer {
     const nn::Tensor& forward_inference(nn::InferenceWorkspace& ws,
                                         const nn::Tensor& entity_obs,
                                         const std::vector<bool>& mask);
-    /// Block-batched tape-free forward: entity_obs stacks B neighborhoods
-    /// as [B * entities, obs_dim] and masks[b] is block b's entity mask.
-    /// Row b of the returned [B, max_phases] tensor is bit-identical to
-    /// forward_inference() on block b alone (see GatLayer::
-    /// forward_inference_blocks for the argument).
-    const nn::Tensor& forward_inference_blocks(
-        nn::InferenceWorkspace& ws, const nn::Tensor& entity_obs,
-        const std::vector<const std::vector<bool>*>& masks);
     std::unique_ptr<nn::Linear> embed;
     std::unique_ptr<nn::GatLayer> gat;
     std::unique_ptr<nn::Linear> q_head;

@@ -47,23 +47,11 @@ std::vector<std::size_t> IdqnTrainer::act_all(bool explore) {
       actions[i] = rng_.uniform_int(num_phases);
       continue;
     }
-    const auto obs = env_->local_obs(i);
-    if (config_.inference_path) {
-      workspace_.begin_pass();
-      Tensor& x = workspace_.acquire(1, obs.size());
-      std::copy(obs.begin(), obs.end(), x.data());
-      const Tensor& q_t = online_[i]->forward_inference(workspace_, x);
-      actions[i] = nn::argmax_row(q_t, 0, num_phases);
-    } else {
-      Tape tape;
-      Var x = tape.constant(Tensor::matrix(1, obs.size(), obs));
-      Var q = online_[i]->forward(tape, x);
-      const Tensor& q_t = tape.value(q);
-      std::size_t best = 0;
-      for (std::size_t p = 1; p < num_phases; ++p)
-        if (q_t.at(0, p) > q_t.at(0, best)) best = p;
-      actions[i] = best;
-    }
+    workspace_.begin_pass();
+    Tensor& x = workspace_.acquire(1, env_->obs_dim());
+    env_->local_obs_into(i, x.data());
+    const Tensor& q_t = online_[i]->forward_inference(workspace_, x);
+    actions[i] = nn::argmax_row(q_t, 0, num_phases);
   }
   return actions;
 }
@@ -160,65 +148,6 @@ env::EpisodeStats IdqnTrainer::train_episode() {
 
 env::EpisodeStats IdqnTrainer::eval_episode(std::uint64_t seed) {
   return run(false, seed);
-}
-
-std::vector<env::EpisodeStats> IdqnTrainer::eval_episodes_fleet(
-    const std::vector<std::uint64_t>& seeds) {
-  const std::size_t k = seeds.size();
-  const std::size_t n = env_->num_agents();
-  const std::size_t obs_dim = env_->obs_dim();
-  std::vector<std::unique_ptr<env::TscEnv>> envs;
-  envs.reserve(k);
-  for (std::size_t w = 0; w < k; ++w) {
-    envs.push_back(env_->clone(seeds[w]));
-    envs.back()->reset(seeds[w]);
-  }
-
-  const bool prev_gemm = workspace_.batched_gemm();
-  workspace_.set_batched_gemm(true);
-  std::vector<std::size_t> active(k);
-  for (std::size_t w = 0; w < k; ++w) active[w] = w;
-  std::vector<std::vector<std::size_t>> actions(k, std::vector<std::size_t>(n, 0));
-  std::vector<double> reward_sum(k, 0.0);
-  std::vector<std::size_t> reward_count(k, 0);
-  while (!active.empty()) {
-    const std::size_t batch = active.size();
-    workspace_.begin_pass();
-    for (std::size_t i = 0; i < n; ++i) {
-      Tensor& x = workspace_.acquire(batch, obs_dim);
-      for (std::size_t a = 0; a < batch; ++a)
-        envs[active[a]]->local_obs_into(i, x.data() + a * obs_dim);
-      const Tensor& q = online_[i]->forward_inference(workspace_, x);
-      const std::size_t num_phases = env_->agent(i).num_phases;
-      for (std::size_t a = 0; a < batch; ++a)
-        actions[active[a]][i] = nn::argmax_row(q, a, num_phases);
-    }
-    for (std::size_t a = 0; a < batch; ++a) {
-      const std::size_t w = active[a];
-      const auto rewards = envs[w]->step(actions[w]);
-      for (double r : rewards) {
-        reward_sum[w] += r;
-        ++reward_count[w];
-      }
-    }
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](std::size_t w) { return envs[w]->done(); }),
-                 active.end());
-  }
-  workspace_.set_batched_gemm(prev_gemm);
-
-  std::vector<env::EpisodeStats> out(k);
-  for (std::size_t w = 0; w < k; ++w) {
-    out[w].avg_wait = envs[w]->episode_avg_wait();
-    out[w].travel_time = envs[w]->average_travel_time();
-    out[w].delay = envs[w]->average_delay();
-    out[w].mean_reward =
-        reward_count[w] ? reward_sum[w] / static_cast<double>(reward_count[w])
-                        : 0.0;
-    out[w].vehicles_finished = envs[w]->simulator().vehicles_finished();
-    out[w].vehicles_spawned = envs[w]->simulator().vehicles_spawned();
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -31,11 +31,7 @@ struct IdqnConfig {
   std::size_t target_update_steps = 200;
   std::size_t updates_per_step = 1;
   double max_grad_norm = 1.0;
-  /// Greedy action selection runs tape-free on a preallocated workspace
-  /// (nn/inference.hpp); bit-identical to the tape forward. False forces
-  /// the tape path (debug / A-B comparison).
-  bool inference_path = true;
-  /// Math-kernel tier for the inference-path forwards (nn/kernels.hpp):
+  /// Math-kernel tier of the action-selection forwards (nn/kernels.hpp):
   /// kReference (default) is bit-exact; kFast is tolerance-bounded SIMD/FMA.
   /// Tape forwards/backwards (the Q update) always run reference.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
@@ -48,15 +44,6 @@ class IdqnTrainer {
 
   env::EpisodeStats train_episode();
   env::EpisodeStats eval_episode(std::uint64_t seed);
-  /// Fleet-batched greedy evaluation: one episode per seed, all replicas
-  /// stepped in lockstep with each agent's Q forward batched across the
-  /// live replicas into one GEMM per layer. stats[w] is bit-identical to
-  /// eval_episode(seeds[w]) — greedy IDQN consumes no RNG, per-row argmax
-  /// replays the serial tie-break, and the batched GEMM kernel matches the
-  /// reference bit-for-bit. Runs on per-call environment clones; the
-  /// trainer's own environment and RNG stream are untouched.
-  std::vector<env::EpisodeStats> eval_episodes_fleet(
-      const std::vector<std::uint64_t>& seeds);
   std::unique_ptr<env::Controller> make_controller();
   std::size_t episodes_trained() const { return episode_; }
 

@@ -85,49 +85,21 @@ std::vector<std::size_t> Ma2cTrainer::act_all(bool explore,
     const std::size_t num_phases = env_->agent(i).num_phases;
     const auto input = agent_input(i);
 
-    // Both forward producers fill the same pointers; the selection /
-    // fingerprint / buffer code below is shared so the RNG consumption
-    // order is identical on either path.
-    const Tensor* probs_p = nullptr;
-    const Tensor* logp_p = nullptr;
-    const Tensor* val_p = nullptr;
-    Tape tape;  // used only on the tape path; outlives the pointers
-    if (config_.inference_path) {
-      workspace_.begin_pass();
-      Tensor& x = workspace_.acquire(1, input_dim_);
-      std::copy(input.begin(), input.end(), x.data());
-      Tensor& logits =
-          const_cast<Tensor&>(actors_[i]->forward_inference(workspace_, x));
-      // Mask exactly like the tape path: elementwise add of 0.0 / -1e9.
-      if (num_phases < max_phases)
-        for (std::size_t p = 0; p < max_phases; ++p)
-          logits.at(0, p) += p < num_phases ? 0.0 : -1e9;
-      Tensor& probs = workspace_.acquire(1, max_phases);
-      nn::softmax_rows_into(probs, logits, workspace_.kernel_tier());
-      Tensor& logp = workspace_.acquire(1, max_phases);
-      nn::log_softmax_rows_into(logp, logits, workspace_.kernel_tier());
-      const Tensor& value = critics_[i]->forward_inference(workspace_, x);
-      probs_p = &probs;
-      logp_p = &logp;
-      val_p = &value;
-    } else {
-      Var x = tape.constant(pack_rows({input}, input_dim_));
-      Var logits = actors_[i]->forward(tape, x);
-      // Mask phases beyond this agent's count.
-      if (num_phases < max_phases) {
-        Tensor mask = Tensor::zeros(1, max_phases);
-        for (std::size_t p = num_phases; p < max_phases; ++p)
-          mask.at(0, p) = -1e9;
-        logits = tape.add(logits, tape.constant(std::move(mask)));
-      }
-      Var probs = tape.softmax_rows(logits);
-      Var logp = tape.log_softmax_rows(logits);
-      Var value = critics_[i]->forward(tape, x);
-      probs_p = &tape.value(probs);
-      logp_p = &tape.value(logp);
-      val_p = &tape.value(value);
-    }
-    const Tensor& probs_t = *probs_p;
+    workspace_.begin_pass();
+    Tensor& x = workspace_.acquire(1, input_dim_);
+    std::copy(input.begin(), input.end(), x.data());
+    Tensor& logits =
+        const_cast<Tensor&>(actors_[i]->forward_inference(workspace_, x));
+    // Mask exactly like the update's tape graph: elementwise add of
+    // 0.0 / -1e9.
+    if (num_phases < max_phases)
+      for (std::size_t p = 0; p < max_phases; ++p)
+        logits.at(0, p) += p < num_phases ? 0.0 : -1e9;
+    Tensor& probs_t = workspace_.acquire(1, max_phases);
+    nn::softmax_rows_into(probs_t, logits, workspace_.kernel_tier());
+    Tensor& logp = workspace_.acquire(1, max_phases);
+    nn::log_softmax_rows_into(logp, logits, workspace_.kernel_tier());
+    const Tensor& value = critics_[i]->forward_inference(workspace_, x);
 
     std::size_t action = 0;
     if (explore) {
@@ -153,8 +125,8 @@ std::vector<std::size_t> Ma2cTrainer::act_all(bool explore,
       s.obs = input;
       s.action = action;
       s.phase_count = num_phases;
-      s.log_prob = logp_p->at(0, action);
-      s.value = val_p->at(0, 0);
+      s.log_prob = logp.at(0, action);
+      s.value = value.at(0, 0);
       buffer->add(i, std::move(s));
     }
   }
@@ -189,18 +161,10 @@ env::EpisodeStats Ma2cTrainer::run(bool train_mode, std::uint64_t seed) {
     // Bootstrap each agent's value at the final state.
     for (std::size_t i = 0; i < env_->num_agents(); ++i) {
       const auto input = agent_input(i);
-      double boot = 0.0;
-      if (config_.inference_path) {
-        workspace_.begin_pass();
-        Tensor& x = workspace_.acquire(1, input_dim_);
-        std::copy(input.begin(), input.end(), x.data());
-        boot = critics_[i]->forward_inference(workspace_, x).at(0, 0);
-      } else {
-        Tape tape;
-        Var x = tape.constant(pack_rows({input}, input_dim_));
-        Var value = critics_[i]->forward(tape, x);
-        boot = tape.value(value).at(0, 0);
-      }
+      workspace_.begin_pass();
+      Tensor& x = workspace_.acquire(1, input_dim_);
+      std::copy(input.begin(), input.end(), x.data());
+      const double boot = critics_[i]->forward_inference(workspace_, x).at(0, 0);
       // A2C uses Monte-Carlo returns with bootstrap (lambda = 1).
       buffer.finish_agent(i, boot, config_.gamma, 1.0);
     }
@@ -224,121 +188,6 @@ env::EpisodeStats Ma2cTrainer::train_episode() {
 
 env::EpisodeStats Ma2cTrainer::eval_episode(std::uint64_t seed) {
   return run(false, seed);
-}
-
-std::vector<env::EpisodeStats> Ma2cTrainer::eval_episodes_fleet(
-    const std::vector<std::uint64_t>& seeds) {
-  const std::size_t k = seeds.size();
-  const std::size_t n = env_->num_agents();
-  const std::size_t obs_dim = env_->obs_dim();
-  const std::size_t max_phases = env_->config().max_phases;
-  std::vector<std::unique_ptr<env::TscEnv>> envs;
-  envs.reserve(k);
-  for (std::size_t w = 0; w < k; ++w) {
-    envs.push_back(env_->clone(seeds[w]));
-    envs.back()->reset(seeds[w]);
-  }
-  // Per-replica episode state, mirroring what run()/act_all() keep in
-  // members and locals: a fingerprint table and a sample stream per seed.
-  std::vector<std::vector<std::vector<double>>> fps(
-      k, std::vector<std::vector<double>>(n,
-                                          std::vector<double>(max_phases, 0.0)));
-  std::vector<Rng> srngs;
-  if (!config_.greedy_eval) {
-    srngs.reserve(k);
-    for (std::size_t w = 0; w < k; ++w)
-      srngs.emplace_back(seeds[w] ^ env::kEvalSampleSalt);
-  }
-
-  const bool prev_gemm = workspace_.batched_gemm();
-  workspace_.set_batched_gemm(true);
-  std::vector<std::size_t> active(k);
-  for (std::size_t w = 0; w < k; ++w) active[w] = w;
-  std::vector<std::vector<std::size_t>> actions(k, std::vector<std::size_t>(n, 0));
-  std::vector<double> reward_sum(k, 0.0);
-  std::vector<std::size_t> reward_count(k, 0);
-  // Next-step fingerprints staged per active replica so that every agent's
-  // input this step reads the PREVIOUS step's table (act_all swaps at end).
-  std::vector<std::vector<std::vector<double>>> staged;
-  while (!active.empty()) {
-    const std::size_t batch = active.size();
-    staged.assign(batch, std::vector<std::vector<double>>(n));
-    workspace_.begin_pass();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t num_phases = env_->agent(i).num_phases;
-      Tensor& x = workspace_.acquire(batch, input_dim_);
-      for (std::size_t a = 0; a < batch; ++a) {
-        const env::TscEnv& env = *envs[active[a]];
-        double* row = x.data() + a * input_dim_;
-        env.local_obs_into(i, row);
-        const env::AgentSpec& spec = env.agent(i);
-        double* cur = row + obs_dim;
-        for (std::size_t slot = 0; slot < hop1_slots_; ++slot) {
-          if (slot < spec.hop1.size()) {
-            const std::size_t nb = spec.hop1[slot];
-            env.local_obs_into(nb, cur);
-            for (std::size_t j = 0; j < obs_dim; ++j) cur[j] = config_.alpha * cur[j];
-            cur += obs_dim;
-            const std::vector<double>& fp = fps[active[a]][nb];
-            std::copy(fp.begin(), fp.end(), cur);
-            cur += max_phases;
-          } else {
-            std::fill(cur, cur + obs_dim + max_phases, 0.0);
-            cur += obs_dim + max_phases;
-          }
-        }
-      }
-      Tensor& logits =
-          const_cast<Tensor&>(actors_[i]->forward_inference(workspace_, x));
-      if (num_phases < max_phases)
-        for (std::size_t a = 0; a < batch; ++a)
-          for (std::size_t p = 0; p < max_phases; ++p)
-            logits.at(a, p) += p < num_phases ? 0.0 : -1e9;
-      Tensor& probs = workspace_.acquire(batch, max_phases);
-      nn::softmax_rows_into(probs, logits, workspace_.kernel_tier());
-      for (std::size_t a = 0; a < batch; ++a) {
-        std::size_t action = 0;
-        if (!config_.greedy_eval) {
-          std::vector<double> weights(num_phases);
-          for (std::size_t p = 0; p < num_phases; ++p) weights[p] = probs.at(a, p);
-          action = srngs[active[a]].categorical(weights);
-        } else {
-          for (std::size_t p = 1; p < num_phases; ++p)
-            if (probs.at(a, p) > probs.at(a, action)) action = p;
-        }
-        actions[active[a]][i] = action;
-        staged[a][i].assign(max_phases, 0.0);
-        for (std::size_t p = 0; p < max_phases; ++p)
-          staged[a][i][p] = probs.at(a, p);
-      }
-    }
-    for (std::size_t a = 0; a < batch; ++a) {
-      const std::size_t w = active[a];
-      fps[w].swap(staged[a]);
-      const auto rewards = envs[w]->step(actions[w]);
-      for (double r : rewards) {
-        reward_sum[w] += r;
-        ++reward_count[w];
-      }
-    }
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](std::size_t w) { return envs[w]->done(); }),
-                 active.end());
-  }
-  workspace_.set_batched_gemm(prev_gemm);
-
-  std::vector<env::EpisodeStats> out(k);
-  for (std::size_t w = 0; w < k; ++w) {
-    out[w].avg_wait = envs[w]->episode_avg_wait();
-    out[w].travel_time = envs[w]->average_travel_time();
-    out[w].delay = envs[w]->average_delay();
-    out[w].mean_reward =
-        reward_count[w] ? reward_sum[w] / static_cast<double>(reward_count[w])
-                        : 0.0;
-    out[w].vehicles_finished = envs[w]->simulator().vehicles_finished();
-    out[w].vehicles_spawned = envs[w]->simulator().vehicles_spawned();
-  }
-  return out;
 }
 
 void Ma2cTrainer::update(rl::RolloutBuffer& buffer) {

@@ -36,11 +36,7 @@ struct Ma2cConfig {
   /// Sample from the stochastic policies at evaluation time (deterministic
   /// per-episode stream); argmax when true.
   bool greedy_eval = false;
-  /// Rollout/evaluation forwards run tape-free on a preallocated workspace
-  /// (nn/inference.hpp); bit-identical to the tape forward. False forces
-  /// the tape path (debug / A-B comparison).
-  bool inference_path = true;
-  /// Math-kernel tier for the inference-path forwards (nn/kernels.hpp):
+  /// Math-kernel tier of the rollout/evaluation forwards (nn/kernels.hpp):
   /// kReference (default) is bit-exact; kFast is tolerance-bounded SIMD/FMA.
   /// Tape forwards/backwards (the A2C update) always run reference.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
@@ -53,17 +49,6 @@ class Ma2cTrainer {
 
   env::EpisodeStats train_episode();
   env::EpisodeStats eval_episode(std::uint64_t seed);
-  /// Fleet-batched evaluation: one episode per seed, replicas stepped in
-  /// lockstep with each agent's actor forward batched across the live
-  /// replicas into one GEMM per layer. stats[w] is bit-identical to
-  /// eval_episode(seeds[w]): each replica keeps its own fingerprint table
-  /// and (unless greedy_eval) its own Rng(seed ^ kEvalSampleSalt) sample
-  /// stream, consumed agent-ascending per step exactly like the serial
-  /// loop; the phase-mask add, softmax, and categorical weights replay the
-  /// serial arithmetic row-by-row. Runs on per-call environment clones; the
-  /// trainer's environment, fingerprints, and RNG streams are untouched.
-  std::vector<env::EpisodeStats> eval_episodes_fleet(
-      const std::vector<std::uint64_t>& seeds);
   std::unique_ptr<env::Controller> make_controller();
   std::size_t episodes_trained() const { return episode_; }
 

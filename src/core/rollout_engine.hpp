@@ -1,14 +1,45 @@
-// Episode-rollout engine shared by the serial trainer path and the parallel
-// rollout workers.
+// The rollout engine: the one code path that turns PairUpLight
+// observations into actions, for training collection, evaluation and the
+// deployed Controller alike.
 //
-// Everything one episode touches is passed through RolloutContext, so the
-// identical code drives both (a) the trainer's own environment and networks
-// (the num_envs = 1 serial path, bit-identical to the historical trainer)
-// and (b) a worker's environment replica plus frozen network copies on a
-// thread-pool thread. Nothing in here uses global or trainer state.
+// An engine steps a set of environment replicas ("slots") in lockstep on
+// the calling thread. Each decision packs every slot's agent rows into
+// shared batch matrices (reused InferenceWorkspace slots), runs the actor
+// and critic forwards once per model bucket through the tiled GEMM, and
+// keeps the LSTM h/c and outgoing messages resident in slot-ordered slab
+// tensors (row = slot * num_agents + agent). Under parameter sharing one
+// bucket holds every agent; without it (the heterogeneous Monaco network)
+// each agent's model is its own bucket and batches that agent's rows
+// across slots. Per-agent phase masks apply at the logits inside a bucket,
+// so phase-count heterogeneity never splits one.
+//
+// DETERMINISM. Three properties make a slot's trajectory a function of its
+// own seeds, streams and the weights alone — never of which other slots
+// share its engine, or how many engines a collection round is cut into:
+//  1. Every kernel is row-independent and the tiled GEMM is bit-identical
+//     to the reference kernel for finite weights (nn/tensor.hpp), so
+//     packing more rows into a batch never changes any row's result.
+//  2. Gather order: all buckets' input rows are packed (partners picked
+//     slot-ascending, then agent-ascending) before any bucket's forward or
+//     scatter runs, so every agent reads the PREVIOUS step's messages —
+//     Algorithm 1's synchronous sweep.
+//  3. Scatter order: buckets run in model order and each bucket's rows
+//     slot-major (members ascending within a slot), so each slot's streams
+//     are consumed in agent order. Streams are per slot, so interleaving
+//     across slots is unobservable.
+// tests/test_rollout_engine.cpp pins the slicing invariance (one engine
+// over four slots == four one-slot engines, byte for byte);
+// tests/test_rollout_goldens.cpp pins the trajectories of every caller.
+//
+// Threading: an engine is single-threaded mutable scratch. It reads the
+// live models and never writes them, so several engines may run
+// concurrently over the same weights as long as nothing updates them
+// meanwhile (the trainer collects, then updates).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/actor.hpp"
@@ -16,7 +47,6 @@
 #include "src/env/controller.hpp"
 #include "src/env/env.hpp"
 #include "src/nn/inference.hpp"
-#include "src/nn/tape.hpp"
 #include "src/rl/ppo.hpp"
 #include "src/rl/rollout.hpp"
 #include "src/util/rng.hpp"
@@ -85,12 +115,13 @@ struct PairUpConfig {
   /// One shared actor/critic for all agents (homogeneous grids) or one per
   /// agent (heterogeneous networks, paper section VI-D).
   bool parameter_sharing = true;
-  /// Parallel rollout collection: number of environment replicas collecting
-  /// episodes concurrently per training step. 1 = the exact historical
-  /// serial path (no threads, bit-identical trajectories); K > 1 collects K
-  /// full episodes per PPO update on K worker threads. Results are
-  /// deterministic for a fixed K but differ across K (different episode
-  /// seeds and batch composition).
+  /// Environment replicas collecting episodes per training step. 1 = the
+  /// trainer's own environment and exploration stream (no threads); K > 1
+  /// collects K full episodes per PPO update on K replicas, cut into
+  /// min(K, hardware threads) contiguous slices that run concurrently, one
+  /// rollout engine each. Results are deterministic for a fixed K — the
+  /// slice count never changes them — but differ across K (different
+  /// episode seeds and batch composition).
   std::size_t num_envs = 1;
   /// Worker-count-invariant seeding: derive each collected episode's env
   /// seed from the GLOBAL episode index (seed + round * num_envs + slot)
@@ -126,112 +157,124 @@ struct PairUpConfig {
   /// all goldens exercise it; kTape keeps the autodiff tape (the oracle,
   /// for A-B comparison and the bitwise pins).
   UpdatePath update_path = UpdatePath::kFused;
-  /// Rollout/evaluation forwards run on the tape-free inference path
-  /// (nn/inference.hpp): preallocated workspace buffers, no autodiff
-  /// bookkeeping, bit-identical actions/logits/messages/values
-  /// (tests/test_inference_path.cpp). Set false to force every forward
-  /// through the tape (debug / A-B comparison).
-  bool inference_path = true;
-  /// Fleet-batched rollout collection (core/fleet_engine.hpp): step all
-  /// num_envs replicas in lockstep on the calling thread and run every
-  /// layer forward as one (num_envs * num_agents)-row GEMM per model
-  /// bucket, with LSTM h/c state resident in fleet-ordered slabs.
-  /// Trajectories, merged buffers, stats, and trained weights are
-  /// BIT-IDENTICAL to the per-agent path at the same num_envs (fleet
-  /// consumes each env's RNG streams in the per-agent order; the batched
-  /// GEMM kernel is bit-identical — tests/test_inference_path.cpp pins
-  /// both). false (default) keeps the per-agent path as the oracle; the
-  /// fleet path wins on few hardware threads, where env replicas cannot
-  /// overlap anyway. Requires inference_path (the fleet engine has no tape
-  /// fallback).
-  bool fleet_batched = false;
-  /// Math-kernel tier for the tape-free inference path (nn/kernels.hpp).
+  /// Math-kernel tier of the rollout engine's forwards (nn/kernels.hpp).
   /// kReference (default) keeps the bit-exact legacy kernels everywhere.
   /// kFast runs rollout collection and evaluation forwards through the
   /// SIMD/FMA kernels — tolerance-bounded against reference (documented
   /// error budgets in nn/kernels.hpp; divergence contract in the README
   /// determinism matrix), NOT bit-identical, so training trajectories
   /// diverge the way the `batched` update mode does. The PPO update itself
-  /// (tape forward/backward) always runs reference-tier kernels regardless
-  /// of this knob, as does the tape fallback when inference_path = false.
+  /// always runs reference-tier kernels regardless of this knob.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
   std::uint64_t seed = 1;
 };
 
-/// Per-agent recurrent + message runtime state.
-struct AgentState {
-  std::vector<double> h_a, c_a;      ///< actor LSTM state
-  std::vector<double> h_v, c_v;      ///< critic LSTM state
-  std::vector<double> msg_out;       ///< last regularized outgoing message
-};
-
-/// One decision for every agent.
-struct StepDecision {
-  std::vector<std::size_t> actions;
-  std::vector<double> log_probs;
-  std::vector<double> values;
-};
-
-/// The mutable collaborators of one episode. All pointers are non-owning;
-/// none of them may be shared with a concurrently running context (the Rng
-/// in particular - see util/rng.hpp).
-struct RolloutContext {
-  env::TscEnv* env = nullptr;
-  const PairUpConfig* config = nullptr;
-  std::vector<CoordinatedActor*> actors;      ///< one, or one per agent
-  std::vector<CentralizedCritic*> critics;
-  std::size_t hop1_slots = 0;
-  std::size_t hop2_slots = 0;
-  std::size_t critic_input_dim = 0;
-  Rng* rng = nullptr;           ///< exploration stream (training noise)
-  double epsilon = 0.0;         ///< epsilon-greedy value for this episode
-  nn::Tape* tape = nullptr;     ///< reusable scratch tape (reset per forward)
-  /// Tape-free inference workspace; when non-null (and the config enables
-  /// it) decide_step runs forward_inference instead of the tape forward.
-  /// Must not be shared with a concurrently running context.
-  nn::InferenceWorkspace* workspace = nullptr;
-  /// Outputs recorded at the last decision (protocol inspection).
-  std::vector<std::vector<double>>* last_messages = nullptr;
-  std::vector<std::size_t>* last_partners = nullptr;
-
-  std::size_t model_of(std::size_t agent) const {
-    return config->parameter_sharing ? 0 : agent;
-  }
-};
-
-/// Zero-initializes one AgentState per environment agent.
-void reset_agent_states(const RolloutContext& ctx, std::vector<AgentState>& states);
-
-/// Communication partner of `agent` under the configured strategy.
-std::size_t pick_partner(RolloutContext& ctx, std::size_t agent);
-
-/// Context-free overload shared with the fleet engine: same branches and the
-/// same `rng` consumption (one uniform_int draw exactly when the strategy is
-/// kRandomNeighbor and the agent has upstream neighbors).
+/// Communication partner of `agent` under the configured strategy. Draws
+/// one uniform_int from `rng` exactly when the strategy is kRandomNeighbor
+/// and the agent has upstream neighbors.
 std::size_t pick_partner(const env::TscEnv& env, const PairUpConfig& config,
                          Rng* rng, std::size_t agent);
 
-/// One decision for every agent; fills per-agent outputs. When `explore` is
-/// set, actions follow the configured exploration rule and messages get
-/// regularizer noise; otherwise greedy + noiseless. `sample_rng`: when
-/// non-null and not exploring, actions are sampled from the policy with
-/// this stream (stochastic evaluation); when null, non-exploring decisions
-/// take the argmax.
-StepDecision decide_step(RolloutContext& ctx, std::vector<AgentState>& states,
-                         bool explore, rl::RolloutBuffer* buffer,
-                         Rng* sample_rng = nullptr);
+/// One replica's bindings for a lockstep run. All pointers are non-owning
+/// and must outlive the run. `rng` is the slot's exploration stream
+/// (required in train mode, and whenever the pairing strategy draws);
+/// `buffer` is required in train mode.
+struct RolloutSlot {
+  env::TscEnv* env = nullptr;
+  std::uint64_t seed = 0;
+  Rng* rng = nullptr;
+  rl::RolloutBuffer* buffer = nullptr;
+};
 
-/// One full episode on ctx.env (reset with `seed`). In train mode the
-/// rollout is recorded into `buffer` (required non-null), the terminal
-/// value is bootstrapped, and GAE is run per agent; in eval mode `buffer`
-/// is ignored and actions are greedy/sampled per config.greedy_eval.
-env::EpisodeStats run_rollout_episode(RolloutContext& ctx, std::uint64_t seed,
-                                      bool train_mode, rl::RolloutBuffer* buffer);
+class RolloutEngine {
+ public:
+  /// Reads the given models (one, or one per agent) for every decision;
+  /// `config` and the models must outlive the engine.
+  RolloutEngine(const PairUpConfig& config,
+                std::vector<const CoordinatedActor*> actors,
+                std::vector<const CentralizedCritic*> critics,
+                std::size_t hop1_slots, std::size_t hop2_slots);
 
-namespace detail {
-/// Packs per-agent vectors into a [rows.size(), width] tensor.
-nn::Tensor pack_rows(const std::vector<std::vector<double>>& rows, std::size_t width);
-std::vector<double> extract_row(const nn::Tensor& t, std::size_t r);
-}  // namespace detail
+  /// Runs one full episode on every slot in lockstep, each env reset with
+  /// its slot seed. Train mode explores (config.ppo.sample_actions, else
+  /// epsilon-greedy with `epsilon`), adds regularizer noise to messages,
+  /// records into each slot's buffer, bootstraps V(s_T) and runs GAE per
+  /// agent. Otherwise actions follow config.greedy_eval: argmax, or samples
+  /// from Rng(seed ^ kEvalSampleSalt) per slot. Returns per-slot stats in
+  /// slot order. The slot count may differ between calls; buffers that
+  /// have reached their peak shape stop allocating (alloc_events()).
+  std::vector<env::EpisodeStats> run_episodes(std::span<const RolloutSlot> slots,
+                                              bool train_mode, double epsilon);
 
+  /// One-decision-per-call seam of the Controller: begin_episode() zeroes
+  /// the recurrent and message state of one slot of `num_agents` agents;
+  /// act() takes the noiseless decision for env's current state. Partners
+  /// draw from `partner_rng`; actions sample from `sample_rng` when it is
+  /// non-null and take the argmax otherwise.
+  void begin_episode(std::size_t num_agents);
+  const std::vector<std::size_t>& act(const env::TscEnv& env, Rng* partner_rng,
+                                      Rng* sample_rng);
+
+  /// Workspace + state-slab allocation events: the first episodes at a new
+  /// peak slot count allocate, steady state adds exactly zero.
+  std::size_t alloc_events() const { return ws_.alloc_events() + slab_events_; }
+
+  /// Partners and regularized messages of a slot at its final decision of
+  /// the last run_episodes() call (protocol inspection).
+  const std::vector<std::vector<double>>& last_messages(std::size_t slot) const {
+    return last_messages_.at(slot);
+  }
+  const std::vector<std::size_t>& last_partners(std::size_t slot) const {
+    return last_partners_.at(slot);
+  }
+
+ private:
+  /// Sizes the per-slot scratch for `slots` slots of `num_agents` agents
+  /// and zeroes the state slabs (the start of an episode).
+  void prepare(std::size_t slots, std::size_t num_agents);
+
+  /// One lockstep decision for the slots listed in `active`. Fills
+  /// actions_/values_ for them; `record` adds buffer samples.
+  void decide(const std::vector<std::size_t>& active, bool explore, bool record);
+
+  /// Slab reshape that counts backing-storage growth like
+  /// InferenceWorkspace::acquire (slabs never shrink capacity).
+  void reshape_slab(nn::Tensor& slab, std::size_t rows, std::size_t cols);
+
+  const PairUpConfig& config_;
+  std::vector<const CoordinatedActor*> actors_;
+  std::vector<const CentralizedCritic*> critics_;
+  std::size_t hop1_slots_ = 0, hop2_slots_ = 0;
+
+  nn::InferenceWorkspace ws_;
+  std::size_t slab_events_ = 0;
+  /// Slot-ordered recurrent/message state; row = slot * num_agents + agent.
+  nn::Tensor h_a_, c_a_, h_v_, c_v_, msg_;
+  double epsilon_ = 0.0;  ///< exploration epsilon of the current run
+
+  // Per-slot bindings of the current episode.
+  std::vector<const env::TscEnv*> envs_;
+  std::vector<Rng*> rngs_;                 ///< exploration / partner streams
+  std::vector<Rng*> sample_rngs_;          ///< null = argmax when not exploring
+  std::vector<rl::RolloutBuffer*> buffers_;
+  std::vector<Rng> eval_rngs_;             ///< run_episodes' sample streams
+
+  // Per-episode scratch (capacities persist across episodes).
+  std::vector<std::vector<std::size_t>> groups_;   ///< model -> member agents
+  std::vector<std::size_t> pos_in_bucket_;         ///< agent -> index in its bucket
+  /// Per-bucket batch tensors of the current decision, in acquisition
+  /// order: actor input, h_a, c_a, critic input, h_v, c_v.
+  std::vector<std::array<nn::Tensor*, 6>> bucket_slots_;
+  std::vector<std::size_t> active_;                ///< live slot indices
+  std::vector<std::size_t> newly_done_;
+  std::vector<double> reward_sum_;                 ///< [slot]
+  std::vector<std::size_t> reward_count_;          ///< [slot]
+  std::vector<std::vector<std::size_t>> actions_;  ///< [slot][agent]
+  std::vector<std::vector<double>> values_;        ///< [slot][agent]
+  std::vector<std::vector<std::size_t>> partners_; ///< [slot][agent]
+  std::vector<std::size_t> phase_counts_;          ///< per-bucket batch scratch
+  std::vector<double> cat_weights_;                ///< categorical scratch
+  std::vector<std::vector<std::vector<double>>> last_messages_;
+  std::vector<std::vector<std::size_t>> last_partners_;
+};
 }  // namespace tsc::core

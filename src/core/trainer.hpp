@@ -13,12 +13,14 @@
 // rollout are replayed as fixed inputs in the update, so minibatch samples
 // stay independent (see rl/rollout.hpp).
 //
-// Rollout collection is delegated to core/rollout_engine.hpp. With
-// config.num_envs == 1 the trainer runs the engine serially on its own
-// environment and networks (bit-identical to the historical single-env
-// trainer); with num_envs = K > 1 it owns K environment replicas plus
-// frozen network copies and collects K full episodes concurrently on a
-// thread pool before every PPO update (rl/parallel_rollout.hpp).
+// Every decision — rollout collection, evaluation and the Controller —
+// runs through core/rollout_engine.hpp over the live networks. With
+// config.num_envs == 1 collection and evaluation run one engine on the
+// trainer's own environment and exploration stream; with num_envs = K > 1
+// the trainer owns K environment replicas, cut into min(K, hardware
+// threads) contiguous slices that collect concurrently on a thread pool,
+// one engine per slice, before every PPO update. The slice count never
+// changes a result (the engine's determinism properties).
 //
 // The PPO update is delegated to core/update_engine.hpp the same way:
 // num_update_shards == 1 (or update_mode == kSerial) runs the historical
@@ -35,7 +37,6 @@
 
 #include "src/core/actor.hpp"
 #include "src/core/critic.hpp"
-#include "src/core/fleet_engine.hpp"
 #include "src/core/rollout_engine.hpp"
 #include "src/core/update_engine.hpp"
 #include "src/env/controller.hpp"
@@ -45,6 +46,7 @@
 #include "src/rl/parallel_rollout.hpp"
 #include "src/rl/ppo.hpp"
 #include "src/rl/rollout.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace tsc::core {
 
@@ -54,7 +56,8 @@ class PairUpLightTrainer {
   PairUpLightTrainer(env::TscEnv* env, PairUpConfig config);
 
   /// The rollout phase of one training step: config.num_envs full episodes
-  /// (serial when 1, concurrent otherwise) collected with the CURRENT
+  /// (on the trainer's own environment when 1, on replicas otherwise)
+  /// collected with the CURRENT
   /// policy weights and this step's exploration epsilon, merged into one
   /// PPO batch. `stats` averages the per-episode quality metrics and sums
   /// the vehicle counts; `env_steps` is the total environment steps taken
@@ -79,13 +82,15 @@ class PairUpLightTrainer {
   /// num_envs = K this consumes K episodes' worth of experience per call.
   env::EpisodeStats train_episode();
 
-  /// One greedy episode without learning or exploration noise (always on
-  /// the trainer's own environment, regardless of num_envs).
+  /// One episode without learning or exploration noise (always on the
+  /// trainer's own environment, regardless of num_envs). Actions follow
+  /// config.greedy_eval; partners draw from the trainer's stream.
   env::EpisodeStats eval_episode(std::uint64_t seed);
 
-  /// Stateful greedy controller over the trained policy (for the shared
-  /// evaluation harness). The controller references this trainer's
-  /// networks; the trainer must outlive it.
+  /// Stateful controller over the trained policy (for the shared evaluation
+  /// harness): eval_episode's decisions, one per act(), on its own rollout
+  /// engine. It reads this trainer's networks and draws partners from its
+  /// stream; the trainer must outlive it.
   std::unique_ptr<env::Controller> make_controller();
 
   std::size_t episodes_trained() const { return episode_; }
@@ -96,8 +101,11 @@ class PairUpLightTrainer {
   CentralizedCritic& critic(std::size_t model = 0) { return *critics_.at(model); }
   /// Environment replicas collecting per training step (config.num_envs).
   std::size_t num_envs() const { return config_.num_envs; }
-  /// Env seeds of the most recent collect_rollouts round, in episode order
-  /// (one entry per env worker; one on the serial path). Under
+  /// Concurrent collection slices: min(num_envs, hardware threads), one
+  /// rollout engine each (1 = everything on the calling thread).
+  std::size_t rollout_slices() const { return engines_.size(); }
+  /// Env seeds of the most recent collect_rollouts round, in slot order
+  /// (one entry per environment replica; one when num_envs = 1). Under
   /// config.invariant_seeding these depend only on the global episode
   /// index, never on num_envs.
   const std::vector<std::uint64_t>& last_episode_seeds() const {
@@ -108,14 +116,14 @@ class PairUpLightTrainer {
   /// (Table IV): msg_dim 32-bit values from exactly one neighbor.
   std::size_t comm_bits_per_step() const { return config_.msg_dim * 32; }
 
-  /// Workspace backing the serial-context inference path (rollouts,
-  /// evaluation, controller). Exposed so tests can assert the zero
-  /// steady-state-allocation property via alloc_events().
-  const nn::InferenceWorkspace& inference_workspace() const { return workspace_; }
+  /// Allocation events across the collection/evaluation engines: flat once
+  /// every decision shape has been seen (the zero steady-state-allocation
+  /// contract of nn/inference.hpp).
+  std::size_t rollout_alloc_events() const;
 
   /// Allocation events across every backward workspace of the fused update
   /// path (the serial workspace plus all shard workspaces). Like
-  /// inference_workspace().alloc_events(), flat once minibatch shapes
+  /// rollout_alloc_events(), flat once minibatch shapes
   /// stabilize; exactly 0 grows when update_path == kTape.
   std::size_t update_alloc_events() const {
     return update_workspace_.alloc_events() +
@@ -130,19 +138,14 @@ class PairUpLightTrainer {
     return updater_ ? updater_->num_shards() : 1;
   }
 
-  /// Engine backing the fleet-batched collection path, or null unless
-  /// config.fleet_batched. Exposed so tests can assert the fleet extension
-  /// of the allocation contract via FleetRolloutEngine::alloc_events().
-  const FleetRolloutEngine* fleet_engine() const { return fleet_.get(); }
-
-  /// Critic neighbor-ring padding widths (the fleet engine and tests need
-  /// the same layout parameters the trainer derived from the env graph).
+  /// Critic neighbor-ring padding widths (the layout parameters the trainer
+  /// derived from the env graph; a RolloutEngine over its models needs them).
   std::size_t hop1_slots() const { return hop1_slots_; }
   std::size_t hop2_slots() const { return hop2_slots_; }
 
   /// Regularized outgoing messages (one per agent) recorded at the last
   /// decision of train_episode()/eval_episode() - for protocol inspection.
-  /// With num_envs > 1 these come from worker 0's episode.
+  /// With num_envs > 1 these come from slot 0's episode.
   const std::vector<std::vector<double>>& last_messages() const {
     return last_messages_;
   }
@@ -164,31 +167,14 @@ class PairUpLightTrainer {
  private:
   friend class PairUpController;
 
-  /// One parallel collection worker: an environment replica plus frozen
-  /// copies of every model, all touched only by the thread running its
-  /// episode (plus the weight sync on the calling thread in between).
-  struct RolloutWorker {
-    std::unique_ptr<env::TscEnv> env;
-    std::vector<std::unique_ptr<CoordinatedActor>> actors;
-    std::vector<std::unique_ptr<CentralizedCritic>> critics;
-    nn::Tape tape;
-    nn::InferenceWorkspace workspace;  ///< one per worker thread (never shared)
-    std::vector<std::vector<double>> last_messages;
-    std::vector<std::size_t> last_partners;
-  };
+  /// A rollout engine over the live models.
+  std::unique_ptr<RolloutEngine> make_engine() const;
 
-  /// Context running the engine on the trainer's own env/networks/rng.
-  RolloutContext serial_context();
-
-  /// collect_rollouts body of the fleet-batched path (config.fleet_batched):
-  /// same seed/stream derivations and the same fold order as the threaded
-  /// collector, but all episodes run in lockstep through fleet_.
-  CollectResult collect_rollouts_fleet(std::uint64_t base_seed);
-
-  void reset_states(std::vector<AgentState>& states);
-  /// Thin wrapper over decide_step on the serial context (PairUpController).
-  StepDecision decide(std::vector<AgentState>& states, bool explore,
-                      rl::RolloutBuffer* buffer, Rng* sample_rng = nullptr);
+  /// Runs one episode per slot: on engines_[0] when there is one slice,
+  /// otherwise slice s (a contiguous run of slots) on engines_[s], all
+  /// slices concurrently on pool_. Stats come back in slot order.
+  std::vector<env::EpisodeStats> run_slots(const std::vector<RolloutSlot>& slots,
+                                           double epsilon);
 
   void update_model(std::size_t model, const std::vector<const rl::Sample*>& samples);
   double current_epsilon() const;
@@ -206,12 +192,9 @@ class PairUpLightTrainer {
   std::vector<std::vector<double>> last_messages_;
   std::vector<std::size_t> last_partners_;
   std::vector<std::uint64_t> last_episode_seeds_;
-  /// Reusable autodiff tape for serial rollouts and PPO minibatches (reset
-  /// before every forward; reuse keeps node storage warm, see nn/tape.hpp).
+  /// Reusable autodiff tape for the tape update path (reset before every
+  /// minibatch; reuse keeps node storage warm, see nn/tape.hpp).
   nn::Tape scratch_tape_;
-  /// Preallocated buffers for the tape-free inference path on the serial
-  /// context (rollouts, evaluation, controller). Workers carry their own.
-  nn::InferenceWorkspace workspace_;
   /// Per-update packed sample rows (built once per update_model call and
   /// shared by every epoch's minibatches; capacity pinned across updates).
   PackedSampleBlock sample_block_;
@@ -219,16 +202,13 @@ class PairUpLightTrainer {
   /// (update_path == kFused, num_update_shards == 1). Shard workspaces live
   /// inside updater_.
   nn::BackwardWorkspace update_workspace_;
-  /// Built only when config.num_envs > 1 and not fleet_batched.
-  std::unique_ptr<rl::ParallelRolloutCollector<RolloutWorker>> collector_;
-  /// Fleet-batched collection (config.fleet_batched): the engine runs the
-  /// LIVE models single-threaded, so no frozen copies or weight sync; with
-  /// num_envs = K > 1 the K - 1 extra replicas live here (slot 0 beyond the
-  /// serial case) — with K = 1 the fleet runs the trainer's own env_/rng_
-  /// and stays bit-identical to the serial path including the exploration
-  /// stream advancement.
-  std::vector<std::unique_ptr<env::TscEnv>> fleet_envs_;
-  std::unique_ptr<FleetRolloutEngine> fleet_;
+  /// One rollout engine per collection slice; engines_[0] also runs
+  /// evaluation and the num_envs = 1 collection.
+  std::vector<std::unique_ptr<RolloutEngine>> engines_;
+  /// Environment replicas collecting when config.num_envs > 1.
+  std::vector<std::unique_ptr<env::TscEnv>> replicas_;
+  /// One thread per slice; built only when there is more than one slice.
+  std::unique_ptr<util::ThreadPool> pool_;
   /// Built only when config.num_update_shards > 1 and update_mode is not
   /// kSerial.
   std::unique_ptr<ParallelUpdateEngine> updater_;

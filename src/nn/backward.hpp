@@ -56,13 +56,9 @@ namespace tsc::nn {
 /// every worker its own.
 class BackwardWorkspace {
  public:
-  BackwardWorkspace() {
-    // Training forwards run the batched GEMM kernel (bit-identical to the
-    // reference kernel; see nn/tensor.hpp) — the update's matrices are
-    // minibatch-tall, which is exactly what it is blocked for. The kernel
-    // tier stays kReference: training is always bit-exact.
-    fwd_.set_batched_gemm(true);
-  }
+  /// The forward half runs the workspace's default tiled GEMM at the
+  /// kReference tier: training is always bit-exact.
+  BackwardWorkspace() = default;
   BackwardWorkspace(const BackwardWorkspace&) = delete;
   BackwardWorkspace& operator=(const BackwardWorkspace&) = delete;
 

@@ -196,60 +196,4 @@ void GatLayer::backward_train(BackwardWorkspace& ws, const Tensor& entities,
   }
 }
 
-const Tensor& GatLayer::forward_inference_blocks(
-    InferenceWorkspace& ws, const Tensor& entities,
-    const std::vector<const std::vector<bool>*>& masks) {
-  const std::size_t blocks = masks.size();
-  assert(blocks > 0);
-  assert(entities.rows() == blocks * max_entities_);
-  assert(entities.cols() == entity_dim_);
-
-  Tensor& selfs = ws.acquire(blocks, entity_dim_);  // each block's row 0
-  for (std::size_t b = 0; b < blocks; ++b)
-    std::copy(entities.data() + b * max_entities_ * entity_dim_,
-              entities.data() + (b * max_entities_ + 1) * entity_dim_,
-              selfs.data() + b * entity_dim_);
-  const Tensor& query = w_query_->forward_inference(ws, selfs);    // [B, d]
-  const Tensor& keys = w_key_->forward_inference(ws, entities);    // [B*E, d]
-  const Tensor& vals = w_value_->forward_inference(ws, entities);  // [B*E, d]
-
-  // Per-block score chain, identical to the single-block path above.
-  Tensor& scores = ws.acquire(blocks, max_entities_);
-  const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(out_dim_));
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::vector<bool>& mask = *masks[b];
-    assert(mask.size() == max_entities_);
-    assert(mask[0] && "row 0 (self) must be a live entity");
-    const double* pq = query.data() + b * out_dim_;
-    double* srow = scores.data() + b * max_entities_;
-    for (std::size_t e = 0; e < max_entities_; ++e) {
-      const double* krow = keys.data() + (b * max_entities_ + e) * out_dim_;
-      double dot = 0.0;
-      for (std::size_t j = 0; j < out_dim_; ++j) {
-        const double p = pq[j] * krow[j];
-        dot += p;
-      }
-      double score = dot * inv_sqrt_d;
-      if (!mask[e]) score = score * 0.0 + (-1e9);
-      srow[e] = score;
-    }
-  }
-  Tensor& alpha = ws.acquire(blocks, max_entities_);
-  softmax_rows_into(alpha, scores, ws.kernel_tier());
-
-  last_attention_.assign(alpha.data() + (blocks - 1) * max_entities_,
-                         alpha.data() + blocks * max_entities_);
-
-  // Per-block [1, E] @ [E, d] products on the stacked buffers.
-  Tensor& mixed = ws.acquire(blocks, out_dim_);
-  for (std::size_t b = 0; b < blocks; ++b)
-    matmul_rows_into(mixed.data() + b * out_dim_,
-                     alpha.data() + b * max_entities_,
-                     vals.data() + b * max_entities_ * out_dim_,
-                     /*m=*/1, max_entities_, out_dim_);
-  Tensor& out = const_cast<Tensor&>(w_out_->forward_inference(ws, mixed));
-  relu_inplace(out);
-  return out;
-}
-
 }  // namespace tsc::nn

@@ -30,19 +30,6 @@ class GatLayer : public Module {
   const Tensor& forward_inference(InferenceWorkspace& ws, const Tensor& entities,
                                   const std::vector<bool>& mask);
 
-  /// Block-batched tape-free forward for the fleet evaluation path:
-  /// `entities` stacks B independent neighborhoods as [B * max_entities,
-  /// entity_dim] (block b's first row is that block's self) and masks[b] is
-  /// block b's entity mask. Returns [B, out_dim] where row b is
-  /// bit-identical to forward_inference() on block b alone: the query / key
-  /// / value projections batch into single row-independent GEMMs, and the
-  /// score chain plus the per-block alpha @ vals product replay the
-  /// single-block arithmetic exactly (nn::matmul_rows_into on the stacked
-  /// buffers). last_attention() afterwards holds the LAST block's weights.
-  const Tensor& forward_inference_blocks(
-      InferenceWorkspace& ws, const Tensor& entities,
-      const std::vector<const std::vector<bool>*>& masks);
-
   /// Activations retained by forward_train() for backward_train(); all
   /// tensors are workspace slots (valid until the next begin_pass()).
   struct TrainTrace {

@@ -17,11 +17,13 @@
 // Bit-identity contract: every kernel here mirrors the corresponding Tape
 // op's loop structure exactly (same operation order, same rounding), so
 // logits / messages / values / actions produced through forward_inference
-// are bit-identical to the tape path. tests/test_inference_path.cpp pins
-// this against the tape for the actor, critic, and all NN baselines.
+// are bit-identical to the tape path. tests/test_rollout_engine.cpp pins
+// this against the tape for the actor and critic; tests/test_rollout_goldens.cpp
+// pins whole PairUpLight and NN-baseline episodes against goldens captured
+// on the tape path.
 //
-// Threading: a workspace is mutable scratch — give each worker thread its
-// own (RolloutWorker carries one; see core/trainer.hpp). Buffers returned
+// Threading: a workspace is mutable scratch — give each thread its own
+// (every core::RolloutEngine owns one). Buffers returned
 // by acquire() are only valid until the next begin_pass(), so persistent
 // state (LSTM h/c) must be copied out before the next pass.
 #pragma once
@@ -59,21 +61,20 @@ class InferenceWorkspace {
   std::size_t num_buffers() const { return slots_.size(); }
 
   /// Selects the GEMM kernel the layer forwards run through this workspace:
-  /// false (default) = matmul_into, the per-agent path's reference kernel;
-  /// true = matmul_into_batched, the multi-row register-blocked kernel
-  /// tuned for fleet-sized batches. Both produce bit-identical results (see
-  /// nn/tensor.hpp); the flag exists so the fleet engine gets the batched
-  /// throughput while the per-agent path keeps running — and benchmarking
-  /// as — the exact historical kernel.
+  /// true (default) = matmul_into_batched, the multi-row register-blocked
+  /// kernel; false = matmul_into, the untiled reference loop. Both produce
+  /// bit-identical results for finite weights (see nn/tensor.hpp), and
+  /// every forward in src/ runs the default. The setter remains only
+  /// because the benchmark's inference probe (trainbench/probes.cpp) still
+  /// calls it.
   void set_batched_gemm(bool on) { batched_gemm_ = on; }
   bool batched_gemm() const { return batched_gemm_; }
 
   /// Selects the math-kernel tier (nn/kernels.hpp) for every layer forward
   /// run through this workspace: kReference (default) keeps the bit-exact
   /// legacy kernels; kFast swaps in the tolerance-bounded SIMD/FMA ones.
-  /// Orthogonal to set_batched_gemm — in the fast tier both the batched and
-  /// per-agent GEMM route to the same FMA kernel, so fleet vs per-agent
-  /// stays bit-identical WITHIN a tier.
+  /// Orthogonal to set_batched_gemm — in the fast tier both GEMM choices
+  /// route to the same FMA kernel.
   void set_kernel_tier(KernelTier tier) { kernel_tier_ = tier; }
   KernelTier kernel_tier() const { return kernel_tier_; }
 
@@ -81,7 +82,7 @@ class InferenceWorkspace {
   std::vector<std::unique_ptr<Tensor>> slots_;
   std::size_t cursor_ = 0;
   std::size_t alloc_events_ = 0;
-  bool batched_gemm_ = false;
+  bool batched_gemm_ = true;
   KernelTier kernel_tier_ = KernelTier::kReference;
 };
 

@@ -81,10 +81,9 @@ void exp_inplace_tier(double* x, std::size_t n, KernelTier tier);
 void tanh_inplace_tier(double* x, std::size_t n, KernelTier tier);
 void sigmoid_inplace_tier(double* x, std::size_t n, KernelTier tier);
 
-// Shared message-squash entry point: the logistic 1/(1+e^{-x}).
-// Deduplicates the hand-rolled squash in core/fleet_engine.cpp and
-// core/rollout_engine.cpp; reference tier reproduces their exact expression
-// bit for bit.
+// Shared message-squash entry point: the logistic 1/(1+e^{-x}), as the
+// rollout engine regularizes outgoing messages. The reference tier is the
+// exact expression 1.0 / (1.0 + std::exp(-x)), bit for bit.
 double logistic(double x, KernelTier tier);
 
 // FMA GEMM: out [m,n] = a [m,k] @ b [k,n], ascending-k fused multiply-add

@@ -34,9 +34,8 @@ const Tensor& Linear::forward_inference(InferenceWorkspace& ws,
   assert(x.cols() == in_);
   Tensor& out = ws.acquire(x.rows(), out_);
   // Reference tier: both kernels are bit-identical (nn/tensor.hpp); the
-  // workspace selects the multi-row blocked one on the fleet-batched path.
-  // Fast tier: one FMA kernel for both paths, so fleet vs per-agent stays
-  // bit-identical within the tier.
+  // workspace defaults to the multi-row blocked one. Fast tier: one FMA
+  // kernel either way.
   if (ws.kernel_tier() == KernelTier::kFast) {
     matmul_into_fast(out, x, weight.value);
   } else if (ws.batched_gemm()) {
@@ -45,7 +44,7 @@ const Tensor& Linear::forward_inference(InferenceWorkspace& ws,
     matmul_into(out, x, weight.value);
   }
   // Broadcast bias add: same adds in the same order as Tape::add's rank-1
-  // branch, on raw rows (this loop runs once per fleet GEMM over every
+  // branch, on raw rows (this loop runs once per batched GEMM over every
   // batch element and must not pay per-element accessor calls).
   const double* pb = bias.value.data();
   const std::size_t rows = out.rows();

@@ -175,19 +175,15 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void matmul_rows_into(double* out, const double* a, const double* b,
-                      std::size_t m, std::size_t k, std::size_t n) {
-  reference_rows(out, a, b, m, k, n);
-}
-
-// matmul_into_batched: the fleet-batched GEMM.
+// matmul_into_batched: the tiled GEMM every inference and training forward
+// runs (InferenceWorkspace's default kernel).
 //
 // Why a second kernel: matmul_into's single-row j-block gives each output
 // row only ~2 vector accumulator chains, so on one hardware thread the FMA
 // ports sit mostly idle. Blocking over ROWS as well (8 rows x 16 cols below)
 // creates enough independent accumulator chains to approach port saturation
 // — measured ~3.4-3.9x on the rollout path's dominant [B,64]x[64,256] LSTM
-// GEMMs once B reaches fleet sizes (num_envs * num_agents rows).
+// GEMMs once B reaches rollout-engine sizes (slots * agents rows).
 //
 // Bit-identity argument (vs matmul_into, for FINITE a and b):
 //  * Every out[i][j] accumulates its k contributions in ascending-p order
@@ -200,7 +196,7 @@ void matmul_rows_into(double* out, const double* a, const double* b,
 //    +-0.0 product (a[i][p] == 0, b finite) to a sum that is not -0.0
 //    returns the sum unchanged. With a non-finite b (0 * inf = NaN) the
 //    paths could diverge, but network parameters are finite by
-//    construction. tests/test_inference_path.cpp pins the equivalence.
+//    construction. tests/test_rollout_engine.cpp pins the equivalence.
 //  * Row blocks below 8 and ragged columns delegate to matmul_into's exact
 //    loops (skip included), which are bit-identical per the above.
 

@@ -94,8 +94,8 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// to the allocating form — the tape-free inference path depends on that.
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 /// Same contract and (for finite inputs) bit-identical results as
-/// matmul_into, tuned for the tall batches of the fleet-batched inference
-/// path: multi-row register blocking turns the ~2 accumulator dependency
+/// matmul_into, tuned for the tall batches of the rollout engine and the
+/// update: multi-row register blocking turns the ~2 accumulator dependency
 /// chains per output row of matmul_into into 8+ independent chains, which
 /// is where the single-thread GEMM throughput headroom lives. Each
 /// out[i][j] still receives its contributions in ascending-p order with
@@ -103,13 +103,6 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 /// -ffp-contract=off, so no FMA contraction on either kernel). See the
 /// implementation for the zero-skip equivalence argument.
 void matmul_into_batched(Tensor& out, const Tensor& a, const Tensor& b);
-/// matmul_into's reference row loop on raw row-major pointers:
-/// out [m,n] = a [m,k] @ b [k,n], same blocking / rounding / zero-skip.
-/// Exists so block-batched layers (nn/gat.hpp) can run per-block products on
-/// slices of a stacked workspace tensor — bit-identical to calling
-/// matmul_into on each block copied into its own tensor, without the copies.
-void matmul_rows_into(double* out, const double* a, const double* b,
-                      std::size_t m, std::size_t k, std::size_t n);
 /// out = a @ b^T for rank-2 a [m,k], b [n,k].
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// out = a^T @ b for rank-2 a [k,m], b [k,n].

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace tsc::util {
 
@@ -65,6 +66,22 @@ std::optional<std::vector<std::uint64_t>> parse_u64_list(const std::string& text
     start = comma + 1;
   }
   return values;
+}
+
+double require_double(const std::string& text, const std::string& what) {
+  const auto value = parse_double(text);
+  if (!value)
+    throw std::invalid_argument(what + ": expected a finite number, got \"" +
+                                text + "\"");
+  return *value;
+}
+
+std::uint64_t require_u64(const std::string& text, const std::string& what) {
+  const auto value = parse_u64(text);
+  if (!value)
+    throw std::invalid_argument(what + ": expected a non-negative integer, got \"" +
+                                text + "\"");
+  return *value;
 }
 
 }  // namespace tsc::util

@@ -31,4 +31,10 @@ std::optional<std::int64_t> parse_i64(const std::string& text);
 /// Empty list, empty items, and any invalid item fail.
 std::optional<std::vector<std::uint64_t>> parse_u64_list(const std::string& text);
 
+/// parse_double / parse_u64 for callers without their own usage message:
+/// a malformed token throws std::invalid_argument whose message names
+/// `what` (the argument or environment variable) and quotes the token.
+double require_double(const std::string& text, const std::string& what);
+std::uint64_t require_u64(const std::string& text, const std::string& what);
+
 }  // namespace tsc::util

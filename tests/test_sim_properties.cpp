@@ -18,13 +18,20 @@ namespace {
 
 using test::Cross;
 
+// ctest names each case after gtest's printout of it, which for a type
+// without PrintTo is its raw bytes. Padding is spelled out as zeroed fields
+// because copies need not preserve padding bytes, and the names must not
+// change from run to run.
 struct SweepCase {
   std::uint32_t lanes;
+  std::uint32_t pad0 = 0;
   double sat_headway;
   double yellow;
   double demand_veh_h;   // per approach
   int policy;            // 0 = hold phase 0, 1 = alternate every 10 s
+  std::int32_t pad1 = 0;
 };
+static_assert(sizeof(SweepCase) == 40, "SweepCase has hidden padding");
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
@@ -119,7 +126,11 @@ std::vector<SweepCase> sweep_cases() {
       for (double yellow : {0.0, 2.0})
         for (double demand : {200.0, 900.0})
           for (int policy : {0, 1})
-            cases.push_back({lanes, headway, yellow, demand, policy});
+            cases.push_back({.lanes = lanes,
+                             .sat_headway = headway,
+                             .yellow = yellow,
+                             .demand_veh_h = demand,
+                             .policy = policy});
   return cases;
 }
 

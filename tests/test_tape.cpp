@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "grad_check.hpp"
 #include "src/util/rng.hpp"
@@ -145,6 +146,10 @@ struct OpCase {
   double scale;  // input magnitude (keep away from kinks for relu/clamp)
   std::function<Var(Tape&, const std::vector<Var>&)> build;
 };
+
+// gtest prints a parameter without a PrintTo as its raw bytes, which here
+// include pointers: test names would then change from run to run.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
 
 class TapeGradient : public ::testing::TestWithParam<OpCase> {};
 

@@ -8,14 +8,17 @@
 # rebuilds stay cheap; only the parallel test binaries are built, and ctest
 # is filtered to the suites that exercise threads:
 #
-#   ThreadPool / MergeRollouts / ParallelRollout / TscEnvClone   (rollouts)
+#   ThreadPool / MergeRollouts / ParallelRollout / TscEnvClone   (rollouts:
+#                           num_envs > 1 collects on concurrent slices that
+#                           all read the live weights)
 #   ParallelUpdate / UpdateModes / OptimizerCheckpoint / TrainerResume
 #                                                                (updates)
-#   InferencePath          (per-worker inference workspaces during rollouts)
-#   FleetBatched           (lockstep fleet engine: batched GEMM kernels, slab
-#                           state, baseline fleet eval — single-threaded but
-#                           heavy on raw-pointer row packing)
-#   InvariantSeeding       (worker-count-invariant seeding across the pool)
+#   InferencePath / FleetBatched / RolloutEngine
+#                          (the rollout engine: tiled GEMM kernels, slab
+#                           state, raw-pointer row packing, the slicing
+#                           invariance; the goldens run num_envs 2 and 4,
+#                           so their collection is sliced across threads)
+#   InvariantSeeding       (worker-count-invariant seeding across the slices)
 #   SimHotPath             (single-threaded, but the lazy-wait/active-set
 #                           pointer bookkeeping is what ASan/UBSan are for)
 #   SensorSnapshot         (head-epoch/pressure snapshot invalidation and the
@@ -39,8 +42,8 @@
 set -euo pipefail
 
 SRC_DIR="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-FILTER='ThreadPool|MergeRollouts|ParallelRollout|TscEnvClone|ParallelUpdate|UpdateModes|OptimizerCheckpoint|TrainerResume|InferencePath|FleetBatched|InvariantSeeding|SimHotPath|SensorSnapshot|SensorModel|KernelTiers|RunStore|FlatJson|Proc|AtomicCheckpoint|SweepExpansion|FleetEndToEnd|BackwardPath'
-TARGETS=(test_parallel_rollout test_parallel_update test_update_modes test_backward_path test_inference_path test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
+FILTER='ThreadPool|MergeRollouts|ParallelRollout|TscEnvClone|ParallelUpdate|UpdateModes|OptimizerCheckpoint|TrainerResume|InferencePath|FleetBatched|RolloutEngine|InvariantSeeding|SimHotPath|SensorSnapshot|SensorModel|KernelTiers|RunStore|FlatJson|Proc|AtomicCheckpoint|SweepExpansion|FleetEndToEnd|BackwardPath'
+TARGETS=(test_parallel_rollout test_parallel_update test_update_modes test_backward_path test_rollout_engine test_rollout_goldens test_kernel_tiers test_invariant_seeding test_sim_hotpath test_sensor_model test_fleet_orchestrator tsc_fleet)
 
 run_one() {
   local preset="$1"
